@@ -178,6 +178,38 @@ func BenchmarkTable1_WorkloadSweep(b *testing.B) {
 	}
 }
 
+// One region's Figure 7–9 grid (7 lengths × one-year and 24-hour
+// slack): every cell swept on one temporal.Series, as Lab.warmCells
+// does, vs a fresh temporal.Sweep, and so a fresh sort, per cell.
+func BenchmarkRegionGridSharedSeries(b *testing.B) { benchRegionGrid(b, true) }
+func BenchmarkRegionGridFreshSweep(b *testing.B)   { benchRegionGrid(b, false) }
+
+func benchRegionGrid(b *testing.B, shared bool) {
+	l := sharedLab(b)
+	ci := l.Set.MustGet("DE").CI
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var ser *temporal.Series
+		if shared {
+			ser = temporal.NewSeries(ci)
+		}
+		for _, slack := range []int{workload.Slack1Y, workload.Slack24H} {
+			for _, length := range workload.BatchLengths {
+				arrivals := min(8760, len(ci)-length-slack)
+				var err error
+				if shared {
+					_, err = ser.Sweep(length, slack, arrivals)
+				} else {
+					_, err = temporal.Sweep(ci, length, slack, arrivals)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 // --- Dataset generation ---
 
 func BenchmarkDatasetGeneration(b *testing.B) {
@@ -218,7 +250,7 @@ func BenchmarkAblation_DeferWindowNaive(b *testing.B) {
 	}
 }
 
-// Interruption slot selection: quickselect vs full sort.
+// Interruption slot selection: quickselect for the cost alone.
 func BenchmarkAblation_MinKQuickselect(b *testing.B) {
 	ci := yearSeries(b)
 	b.ResetTimer()
@@ -227,13 +259,37 @@ func BenchmarkAblation_MinKQuickselect(b *testing.B) {
 	}
 }
 
-func BenchmarkAblation_MinKFullSort(b *testing.B) {
+// Interruption slot placement (the indices, not just the cost): the
+// bounded-heap selection stats.BottomKIndices uses vs a full argsort.
+func BenchmarkAblation_MinKHeapSelect(b *testing.B) {
 	ci := yearSeries(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx := stats.BottomKIndices(ci, 168)
 		var s float64
 		for _, j := range idx {
+			s += ci[j]
+		}
+		_ = s
+	}
+}
+
+func BenchmarkAblation_MinKFullSort(b *testing.B) {
+	ci := yearSeries(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx := make([]int, len(ci))
+		for j := range idx {
+			idx[j] = j
+		}
+		sort.Slice(idx, func(x, y int) bool {
+			if ci[idx[x]] != ci[idx[y]] {
+				return ci[idx[x]] < ci[idx[y]]
+			}
+			return idx[x] < idx[y]
+		})
+		var s float64
+		for _, j := range idx[:168] {
 			s += ci[j]
 		}
 		_ = s

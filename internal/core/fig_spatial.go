@@ -110,6 +110,11 @@ func (l *Lab) Fig6a(ctx context.Context) (*Table, error) {
 		Columns: []string{"pct_infinite_capacity", "pct_50_util"},
 	}
 	slos := []float64{0, 10, 25, 50, 100, 150, 200, 250}
+	// Region means never change across cells; compute each once.
+	means := make(map[string]float64, l.Set.Size())
+	for _, code := range l.Set.Regions() {
+		means[code] = l.Set.MustGet(code).Mean()
+	}
 	type cell struct{ infPct, utilPct float64 }
 	rows, err := engine.Map(ctx, l.workers, len(slos), func(_ context.Context, i int) (cell, error) {
 		slo := slos[i]
@@ -128,14 +133,13 @@ func (l *Lab) Fig6a(ctx context.Context) (*Table, error) {
 			reach[code] = set
 		}
 		infRed := MeanOver(l.Set.Regions(), func(code string) float64 {
-			within := reach[code]
-			best := l.Set.MustGet(code).Mean()
-			for dst := range within {
-				if m := l.Set.MustGet(dst).Mean(); m < best {
+			best := means[code]
+			for dst := range reach[code] {
+				if m := means[dst]; m < best {
 					best = m
 				}
 			}
-			return l.Set.MustGet(code).Mean() - best
+			return means[code] - best
 		})
 
 		// 50% utilization: greedy assignment restricted to reachable

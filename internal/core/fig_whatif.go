@@ -171,17 +171,16 @@ func (l *Lab) Fig11c(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One re-simulated grid plus temporal sweep per renewable step; the
-	// per-(region, config) traces land in the process-level cache, so
-	// repeat runs skip the simulation entirely.
+	// The region's grid at every renewable step shares one weather run;
+	// the traces land in the process-level cache, so repeat runs skip
+	// the simulation entirely. One temporal sweep per step.
+	traces, err := simgrid.GenerateGreenerCached(reg, l.opts.Sim, greenerSteps)
+	if err != nil {
+		return nil, err
+	}
 	type cell struct{ agnostic, aware float64 }
 	rows, err := engine.Map(ctx, l.workers, len(greenerSteps), func(_ context.Context, i int) (cell, error) {
-		cfg := l.opts.Sim
-		cfg.ExtraRenewables = greenerSteps[i]
-		tr, err := simgrid.GenerateRegionCached(reg, cfg)
-		if err != nil {
-			return cell{}, err
-		}
+		tr := traces[i]
 		arrivals := l.arrivals(length + slack)
 		if arrivals < 1 {
 			return cell{}, fmt.Errorf("core: trace too short for fig11c")
@@ -218,14 +217,20 @@ func (l *Lab) Fig11d(ctx context.Context) (*Table, error) {
 		Title:   fmt.Sprintf("Greener grid, spatial scheduling from %s (g·CO₂eq per job-hour)", region),
 		Columns: []string{"agnostic_g", "aware_g", "gap_g"},
 	}
-	// Each renewable step re-simulates the whole catalog; the engine
-	// fans the per-region simulations out inside GenerateCached, so the
-	// outer step loop stays serial to keep concurrency bounded by
-	// l.workers.
-	for _, add := range greenerSteps {
-		cfg := l.opts.Sim
-		cfg.ExtraRenewables = add
-		set, err := simgrid.GenerateCached(ctx, l.Regions, cfg, l.workers)
+	// One engine cell per region simulates its weather once and its
+	// grid at every renewable step; the steps are then reduced in order.
+	perRegion, err := engine.Map(ctx, l.workers, len(l.Regions), func(_ context.Context, i int) ([]*trace.Trace, error) {
+		return simgrid.GenerateGreenerCached(l.Regions[i], l.opts.Sim, greenerSteps)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for step, add := range greenerSteps {
+		traces := make([]*trace.Trace, len(perRegion))
+		for i, ts := range perRegion {
+			traces[i] = ts[step]
+		}
+		set, err := trace.NewSet(traces)
 		if err != nil {
 			return nil, err
 		}

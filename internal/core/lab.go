@@ -183,23 +183,41 @@ func (l *Lab) strideArrivals(horizon int) []int {
 // the full arrival span. Results are cached.
 func (l *Lab) TemporalCell(region string, length, slack int) (temporal.MeanSavings, error) {
 	key := cellKey{region, length, slack}
-	l.mu.Lock()
-	if ms, ok := l.cells[key]; ok {
-		l.mu.Unlock()
+	if ms, ok := l.cachedCell(key); ok {
 		return ms, nil
 	}
-	l.mu.Unlock()
+	ser, err := l.series(region)
+	if err != nil {
+		return temporal.MeanSavings{}, err
+	}
+	return l.sweepCell(ser, key)
+}
 
+func (l *Lab) cachedCell(key cellKey) (temporal.MeanSavings, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ms, ok := l.cells[key]
+	return ms, ok
+}
+
+// series prepares one region's full-period trace for sweeping.
+func (l *Lab) series(region string) (*temporal.Series, error) {
 	tr, ok := l.Set.Get(region)
 	if !ok {
-		return temporal.MeanSavings{}, fmt.Errorf("core: unknown region %q", region)
+		return nil, fmt.Errorf("core: unknown region %q", region)
 	}
-	arrivals := l.arrivals(length + slack)
+	return temporal.NewSeries(tr.CI), nil
+}
+
+// sweepCell sweeps one cell on its region's series and caches the
+// reduced savings.
+func (l *Lab) sweepCell(ser *temporal.Series, key cellKey) (temporal.MeanSavings, error) {
+	arrivals := l.arrivals(key.length + key.slack)
 	if arrivals < 1 {
 		return temporal.MeanSavings{}, fmt.Errorf("core: horizon %d+%d leaves no arrivals in %d-hour trace",
-			length, slack, l.Set.Len())
+			key.length, key.slack, l.Set.Len())
 	}
-	costs, err := temporal.Sweep(tr.CI, length, slack, arrivals)
+	costs, err := ser.Sweep(key.length, key.slack, arrivals)
 	if err != nil {
 		return temporal.MeanSavings{}, err
 	}
@@ -227,14 +245,40 @@ func (l *Lab) FillTemporalGrid(ctx context.Context, lengths, slacks []int) error
 }
 
 // warmCells fans the given temporal cells across the lab's worker pool
-// so later serial reductions over them are pure cache hits. Cell values
-// are independent of evaluation order, so the warmed cache — and every
-// table assembled from it — is byte-identical for any worker count.
+// so later serial reductions over them are pure cache hits. Cells come
+// region-major; each run of one region's cells is a single engine task
+// that sorts the region's trace once and sweeps the missing cells in
+// order, so the engine's lowest-index error is still the first failing
+// cell. Cell values are independent of evaluation order, so the warmed
+// cache — and every table assembled from it — is byte-identical for any
+// worker count.
 func (l *Lab) warmCells(ctx context.Context, cells []cellKey) error {
-	return engine.ForEach(ctx, l.workers, len(cells), func(_ context.Context, i int) error {
-		c := cells[i]
-		if _, err := l.TemporalCell(c.region, c.length, c.slack); err != nil {
-			return fmt.Errorf("core: sweep %s L=%d s=%d: %w", c.region, c.length, c.slack, err)
+	var runs [][]cellKey
+	for i, c := range cells {
+		if i == 0 || c.region != cells[i-1].region {
+			runs = append(runs, nil)
+		}
+		runs[len(runs)-1] = append(runs[len(runs)-1], c)
+	}
+	return engine.ForEach(ctx, l.workers, len(runs), func(ctx context.Context, i int) error {
+		var ser *temporal.Series
+		for _, c := range runs[i] {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if _, ok := l.cachedCell(c); ok {
+				continue
+			}
+			var err error
+			if ser == nil {
+				ser, err = l.series(c.region)
+			}
+			if err == nil {
+				_, err = l.sweepCell(ser, c)
+			}
+			if err != nil {
+				return fmt.Errorf("core: sweep %s L=%d s=%d: %w", c.region, c.length, c.slack, err)
+			}
 		}
 		return nil
 	})

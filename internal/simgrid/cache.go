@@ -50,10 +50,11 @@ type cacheEntry struct {
 // DefaultCacheLimit bounds the number of cached traces. A full-period
 // trace is ~210 KB, so the default caps the cache near 220 MB — enough
 // to hold the base catalog plus every greener-grid what-if of a full
-// experiment run (123 + 7×123 ≈ 984 entries) without letting
-// multi-seed sweeps grow the process without bound. When the limit is
-// exceeded the oldest entries are evicted FIFO; evicted traces remain
-// valid for holders and are simply re-simulated on the next request.
+// experiment run (123 × 6 = 738 entries: the base catalog and five
+// added-renewable steps) without letting multi-seed sweeps grow the
+// process without bound. When the limit is exceeded the oldest entries
+// are evicted FIFO; evicted traces remain valid for holders and are
+// simply re-simulated on the next request.
 const DefaultCacheLimit = 1024
 
 var traceCache = struct {
@@ -87,8 +88,47 @@ func GenerateRegionCached(r regions.Region, cfg Config) (*trace.Trace, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	key := keyFor(r, cfg)
+	e := cacheEntryFor(keyFor(r, cfg))
+	e.once.Do(func() {
+		e.tr = simulate(r, cfg, rngFor(r.Code, cfg))
+	})
+	return e.tr, nil
+}
 
+// GenerateGreenerCached returns one region's traces with each of the
+// given ExtraRenewables shares (cfg.ExtraRenewables is ignored), in
+// order. Every trace goes through the process-level cache under the
+// same key GenerateRegionCached uses, and the region's weather and
+// demand, which do not depend on the mix, are simulated at most once
+// per call however many shares miss the cache.
+func GenerateGreenerCached(r regions.Region, cfg Config, extras []float64) ([]*trace.Trace, error) {
+	cfgs := make([]Config, len(extras))
+	for i, add := range extras {
+		cfgs[i] = cfg
+		cfgs[i].ExtraRenewables = add
+		if err := cfgs[i].Validate(); err != nil {
+			return nil, err
+		}
+		cfgs[i] = cfgs[i].withDefaults()
+	}
+	var w *weather
+	out := make([]*trace.Trace, len(cfgs))
+	for i, c := range cfgs {
+		e := cacheEntryFor(keyFor(r, c))
+		e.once.Do(func() {
+			if w == nil {
+				w = newWeather(r, c, rngFor(r.Code, c))
+			}
+			e.tr = mixTrace(r, c, w)
+		})
+		out[i] = e.tr
+	}
+	return out, nil
+}
+
+// cacheEntryFor returns the cache entry for key, creating it if absent,
+// and counts the request as a hit or a miss.
+func cacheEntryFor(key cacheKey) *cacheEntry {
 	traceCache.mu.Lock()
 	e, ok := traceCache.m[key]
 	if !ok {
@@ -109,10 +149,7 @@ func GenerateRegionCached(r regions.Region, cfg Config) (*trace.Trace, error) {
 	} else {
 		traceCache.misses.Add(1)
 	}
-	e.once.Do(func() {
-		e.tr = simulate(r, cfg, rngFor(r.Code, cfg))
-	})
-	return e.tr, nil
+	return e
 }
 
 // GenerateCached simulates all the given regions through the cache,

@@ -194,4 +194,62 @@ func TestGenerateCachedValidates(t *testing.T) {
 	if _, err := GenerateCached(context.Background(), regions.All()[:1], bad, 1); err == nil {
 		t.Fatal("invalid config accepted")
 	}
+	if _, err := GenerateGreenerCached(regions.All()[0], cacheTestConfig(7), []float64{0, 2}); err == nil {
+		t.Fatal("invalid renewable share accepted")
+	}
+	if hits, misses, entries := CacheStats(); hits != 0 || misses != 0 || entries != 0 {
+		t.Fatalf("rejected requests touched the cache: hits=%d misses=%d entries=%d", hits, misses, entries)
+	}
+}
+
+// GenerateGreenerCached shares one weather run across renewable shares;
+// its traces must equal GenerateCached's at each share bit for bit, and
+// it must count the same cache hits and misses along the way.
+func TestGenerateGreenerCachedMatchesGenerateCached(t *testing.T) {
+	defer ResetCache()
+	regs := regions.All()[:6]
+	cfg := cacheTestConfig(8)
+	extras := []float64{0, 0.1, 0.3, 0.5}
+	// Both sides first generate the base catalog, as a Lab does.
+	ResetCache()
+	if _, err := GenerateCached(context.Background(), regs, cfg, 2); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]*trace.Set, len(extras))
+	for i, add := range extras {
+		c := cfg
+		c.ExtraRenewables = add
+		var err error
+		if want[i], err = GenerateCached(context.Background(), regs, c, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantHits, wantMisses, wantEntries := CacheStats()
+
+	ResetCache()
+	if _, err := GenerateCached(context.Background(), regs, cfg, 2); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range regs {
+		got, err := GenerateGreenerCached(r, cfg, extras)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tr := range got {
+			w := want[i].MustGet(r.Code)
+			if tr.Region != w.Region || !tr.Start.Equal(w.Start) || len(tr.CI) != len(w.CI) {
+				t.Fatalf("%s +%v: trace %s@%v/%d, want %s@%v/%d",
+					r.Code, extras[i], tr.Region, tr.Start, len(tr.CI), w.Region, w.Start, len(w.CI))
+			}
+			for h := range tr.CI {
+				if tr.CI[h] != w.CI[h] {
+					t.Fatalf("%s +%v: hour %d is %v, want %v", r.Code, extras[i], h, tr.CI[h], w.CI[h])
+				}
+			}
+		}
+	}
+	if hits, misses, entries := CacheStats(); hits != wantHits || misses != wantMisses || entries != wantEntries {
+		t.Fatalf("hits=%d misses=%d entries=%d, GenerateCached counted %d/%d/%d",
+			hits, misses, entries, wantHits, wantMisses, wantEntries)
+	}
 }

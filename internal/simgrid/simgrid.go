@@ -224,6 +224,45 @@ func shiftToRenewables(mix regions.Mix, shift float64) regions.Mix {
 
 // simulate produces one region's hourly trace.
 func simulate(r regions.Region, cfg Config, src *rng.Source) *trace.Trace {
+	return mixTrace(r, cfg, newWeather(r, cfg, src))
+}
+
+// weather is the part of a region's simulation that does not depend on
+// its generation mix: the solar and wind capacity-factor shapes and
+// hourly demand. The greener-grid what-ifs (ExtraRenewables) reuse one
+// weather run across every renewable share.
+type weather struct {
+	irr, wind         []float64
+	irrMean, windMean float64
+	demand            []float64
+}
+
+// newWeather draws a region's weather and demand from src. It consumes
+// src exactly as simulation always has — cloud, wind, then demand
+// streams — so traces do not depend on whether the weather is shared.
+func newWeather(r regions.Region, cfg Config, src *rng.Source) *weather {
+	n := cfg.Hours
+	if n == 0 {
+		return &weather{}
+	}
+	// Pre-generate the stochastic weather processes so they can be
+	// normalized to unit mean (keeping annual energy shares on target).
+	cloud := cloudSeries(n, src.Split())
+	wind := windSeries(n, src.Split())
+	irr := irradianceSeries(r, cfg.Start, n, cloud)
+
+	demandSrc := src.Split()
+	demand := make([]float64, n)
+	for h := range demand {
+		demand[h] = demandAt(r, cfg.Start.Add(time.Duration(h)*time.Hour), demandSrc)
+	}
+	return &weather{irr: irr, wind: wind, irrMean: mean(irr), windMean: mean(wind), demand: demand}
+}
+
+// mixTrace dispatches the region's drifting generation mix, shifted by
+// cfg.ExtraRenewables, against the weather w and returns the hourly
+// carbon intensity.
+func mixTrace(r regions.Region, cfg Config, w *weather) *trace.Trace {
 	n := cfg.Hours
 	ci := make([]float64, n)
 	if n == 0 {
@@ -235,19 +274,9 @@ func simulate(r regions.Region, cfg Config, src *rng.Source) *trace.Trace {
 		baseMix = shiftToRenewables(baseMix, cfg.ExtraRenewables)
 	}
 
-	// Pre-generate the stochastic weather processes so they can be
-	// normalized to unit mean (keeping annual energy shares on target).
-	cloud := cloudSeries(n, src.Split())
-	wind := windSeries(n, src.Split())
-	irr := irradianceSeries(r, cfg.Start, n, cloud)
-	irrMean := mean(irr)
-	windMean := mean(wind)
-
-	demandSrc := src.Split()
 	half := float64(n-1) / 2
 	for h := 0; h < n; h++ {
-		ts := cfg.Start.Add(time.Duration(h) * time.Hour)
-		d := demandAt(r, ts, demandSrc)
+		d := w.demand[h]
 
 		// Linear mix drift: progress -0.5 at the start of the study,
 		// +0.5 at the end, so the catalog mix is the midpoint.
@@ -259,12 +288,12 @@ func simulate(r regions.Region, cfg Config, src *rng.Source) *trace.Trace {
 
 		// Non-dispatchable and must-run generation.
 		solar := 0.0
-		if irrMean > 0 {
-			solar = mix[regions.Solar] * irr[h] / irrMean
+		if w.irrMean > 0 {
+			solar = mix[regions.Solar] * w.irr[h] / w.irrMean
 		}
 		wnd := 0.0
-		if windMean > 0 {
-			wnd = mix[regions.Wind] * wind[h] / windMean
+		if w.windMean > 0 {
+			wnd = mix[regions.Wind] * w.wind[h] / w.windMean
 		}
 		coalBase := coalBaseload * mix[regions.Coal]
 		baseload := mix[regions.Nuclear] + mix[regions.Geothermal] +

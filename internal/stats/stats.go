@@ -194,21 +194,62 @@ func SumBottomK(xs []float64, k int) float64 {
 // BottomKIndices returns the indices of the k smallest elements of xs,
 // in ascending order of value (ties broken by index). It is used where
 // the schedule itself — not just its cost — is needed.
+//
+// One pass keeps the k best (value, index) keys in a bounded max-heap,
+// so a horizon of n hours costs O(n log k) rather than a full sort;
+// the result is exactly what a full sort would put first.
 func BottomKIndices(xs []float64, k int) []int {
 	if k < 0 || k > len(xs) {
 		panic(fmt.Sprintf("stats: BottomKIndices k=%d of %d elements", k, len(xs)))
 	}
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if xs[idx[a]] != xs[idx[b]] {
-			return xs[idx[a]] < xs[idx[b]]
+	// before reports whether element a precedes element b.
+	before := func(a, b int) bool {
+		if xs[a] != xs[b] {
+			return xs[a] < xs[b]
 		}
-		return idx[a] < idx[b]
-	})
-	return idx[:k]
+		return a < b
+	}
+	h := make([]int, k)
+	if k == 0 {
+		return h
+	}
+	// siftDown restores the max-heap property of h[:n] below root i.
+	siftDown := func(i, n int) {
+		for {
+			c := 2*i + 1
+			if c >= n {
+				return
+			}
+			if c+1 < n && before(h[c], h[c+1]) {
+				c++
+			}
+			if !before(h[i], h[c]) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for i := range h {
+		h[i] = i
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(i, k)
+	}
+	// Later indices lose ties, so only a strictly smaller value can
+	// displace the heap's current worst key.
+	for i := k; i < len(xs); i++ {
+		if xs[i] < xs[h[0]] {
+			h[0] = i
+			siftDown(0, k)
+		}
+	}
+	// Heapsort in place: move the worst remaining key to the back.
+	for n := k - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		siftDown(0, n)
+	}
+	return h
 }
 
 // selectK partially sorts buf so that buf[:k] holds the k smallest

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -213,6 +215,40 @@ func TestBottomKIndices(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("BottomKIndices = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestBottomKIndicesMatchesFullSort checks the heap selection against a
+// full argsort with index tie-break: same indices, same order, for
+// random and heavily tied inputs and every k from 0 to n.
+func TestBottomKIndicesMatchesFullSort(t *testing.T) {
+	src := rng.New(11)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + src.Intn(60)
+		xs := make([]float64, n)
+		for i := range xs {
+			if trial%2 == 0 {
+				xs[i] = src.Uniform(-100, 100)
+			} else {
+				xs[i] = float64(src.Intn(4)) // heavy ties
+			}
+		}
+		ref := make([]int, n)
+		for i := range ref {
+			ref[i] = i
+		}
+		sort.Slice(ref, func(a, b int) bool {
+			if xs[ref[a]] != xs[ref[b]] {
+				return xs[ref[a]] < xs[ref[b]]
+			}
+			return ref[a] < ref[b]
+		})
+		for k := 0; k <= n; k++ {
+			got := BottomKIndices(xs, k)
+			if !slices.Equal(got, ref[:k]) {
+				t.Fatalf("xs=%v k=%d: BottomKIndices = %v, full sort = %v", xs, k, got, ref[:k])
+			}
 		}
 	}
 }

@@ -27,6 +27,7 @@ package temporal
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"carbonshift/internal/stats"
@@ -121,25 +122,63 @@ type Costs struct {
 // [0, arrivals). The horizon of the final arrival must fit in the
 // trace: arrivals + length + slack <= len(ci).
 func Sweep(ci []float64, length, slack, arrivals int) (Costs, error) {
+	return NewSeries(ci).Sweep(length, slack, arrivals)
+}
+
+// Series is a trace prepared for many sweeps: its prefix sums and one
+// argsort of its values, shared by every (length, slack) cell swept on
+// it. A Series is read-only after construction, so concurrent sweeps
+// may share one.
+type Series struct {
+	ci     []float64
+	prefix []float64
+	// order lists the hours of ci by ascending (value, hour).
+	order []int32
+}
+
+// NewSeries prepares ci for sweeping. It panics if ci has more hours
+// than an int32 can index.
+func NewSeries(ci []float64) *Series {
+	if len(ci) > math.MaxInt32 {
+		panic(fmt.Sprintf("temporal: series of %d hours exceeds int32 indexing", len(ci)))
+	}
+	order := make([]int32, len(ci))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if ci[a] != ci[b] {
+			if ci[a] < ci[b] {
+				return -1
+			}
+			return 1
+		}
+		return int(a - b)
+	})
+	return &Series{ci: ci, prefix: prefixSums(ci), order: order}
+}
+
+// Sweep computes the three policy costs for every arrival hour in
+// [0, arrivals), exactly as the package-level Sweep does.
+func (s *Series) Sweep(length, slack, arrivals int) (Costs, error) {
 	if arrivals < 1 {
 		return Costs{}, fmt.Errorf("temporal: sweep needs >= 1 arrival, got %d", arrivals)
 	}
-	if err := checkJob(len(ci), arrivals-1, length, slack); err != nil {
+	if err := checkJob(len(s.ci), arrivals-1, length, slack); err != nil {
 		return Costs{}, err
 	}
 	return Costs{
-		Baseline:    sweepBaseline(ci, length, arrivals),
-		Deferred:    sweepDeferred(ci, length, slack, arrivals),
-		Interrupted: sweepInterrupted(ci, length, slack, arrivals),
+		Baseline:    s.sweepBaseline(length, arrivals),
+		Deferred:    s.sweepDeferred(length, slack, arrivals),
+		Interrupted: s.sweepInterrupted(length, slack, arrivals),
 	}, nil
 }
 
 // sweepBaseline computes immediate-run costs via prefix sums.
-func sweepBaseline(ci []float64, length, arrivals int) []float64 {
-	prefix := prefixSums(ci)
+func (s *Series) sweepBaseline(length, arrivals int) []float64 {
 	out := make([]float64, arrivals)
 	for a := 0; a < arrivals; a++ {
-		out[a] = prefix[a+length] - prefix[a]
+		out[a] = s.prefix[a+length] - s.prefix[a]
 	}
 	return out
 }
@@ -148,9 +187,9 @@ func sweepBaseline(ci []float64, length, arrivals int) []float64 {
 // arrival in O(n) using a monotonic deque over the window sums: the
 // cost at arrival a is min over start s in [a, a+slack] of
 // sum(ci[s:s+length]).
-func sweepDeferred(ci []float64, length, slack, arrivals int) []float64 {
-	prefix := prefixSums(ci)
-	numStarts := len(ci) - length + 1
+func (s *Series) sweepDeferred(length, slack, arrivals int) []float64 {
+	prefix := s.prefix
+	numStarts := len(s.ci) - length + 1
 	winSum := func(s int) float64 { return prefix[s+length] - prefix[s] }
 
 	out := make([]float64, arrivals)
@@ -183,13 +222,13 @@ func sweepDeferred(ci []float64, length, slack, arrivals int) []float64 {
 // sweepInterrupted computes the sum of the `length` cheapest hours in
 // each sliding horizon of length+slack hours, for every arrival, using
 // a Fenwick tree over value ranks (O(n log n) total).
-func sweepInterrupted(ci []float64, length, slack, arrivals int) []float64 {
+func (s *Series) sweepInterrupted(length, slack, arrivals int) []float64 {
 	window := length + slack
 	needed := arrivals + window - 1 // hours the sweep touches
-	if needed > len(ci) {
-		needed = len(ci)
+	if needed > len(s.ci) {
+		needed = len(s.ci)
 	}
-	tree := newRankTree(ci[:needed])
+	tree := newRankTree(s.ci[:needed], s.order)
 	out := make([]float64, arrivals)
 	for h := 0; h < window; h++ {
 		tree.add(h)
@@ -227,18 +266,12 @@ type rankTree struct {
 	vals  []float64
 }
 
-func newRankTree(vals []float64) *rankTree {
+// newRankTree builds an empty tree over vals. order must list the hours
+// of a series that vals is a prefix of, by ascending (value, hour);
+// keeping the hours below len(vals) gives exactly the ranks a fresh
+// sort of vals would, in O(len(order)).
+func newRankTree(vals []float64, order []int32) *rankTree {
 	n := len(vals)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if vals[idx[a]] != vals[idx[b]] {
-			return vals[idx[a]] < vals[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
 	t := &rankTree{
 		rank:  make([]int, n),
 		valAt: make([]float64, n+1),
@@ -247,9 +280,13 @@ func newRankTree(vals []float64) *rankTree {
 		size:  n,
 		vals:  vals,
 	}
-	for r, i := range idx {
-		t.rank[i] = r + 1
-		t.valAt[r+1] = vals[i]
+	r := 0
+	for _, i := range order {
+		if int(i) < n {
+			r++
+			t.rank[i] = r
+			t.valAt[r] = vals[i]
+		}
 	}
 	t.top = 1
 	for t.top*2 <= n {

@@ -135,6 +135,53 @@ func TestSweepMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestSeriesSweepsManyCells sweeps one Series at several (length, slack)
+// pairs, including ones that need only a prefix of the trace, on
+// random and heavily tied values. Each cell must match SweepNaive, and
+// bit for bit a fresh Sweep of just the prefix the cell touches, whose
+// ranks come from its own sort.
+func TestSeriesSweepsManyCells(t *testing.T) {
+	tied := make([]float64, 600)
+	src := rng.New(5)
+	for i := range tied {
+		tied[i] = float64(100 * (1 + src.Intn(5)))
+	}
+	for name, ci := range map[string][]float64{"random": randSeries(600, 4), "tied": tied} {
+		ser := NewSeries(ci)
+		for _, tc := range []struct{ length, slack, arrivals int }{
+			{1, 0, 599}, {24, 24, 100}, {6, 168, 300}, {24, 168, 408}, {48, 5, 200}, {100, 250, 1},
+		} {
+			got, err := ser.Sweep(tc.length, tc.slack, tc.arrivals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slow, err := SweepNaive(ci, tc.length, tc.slack, tc.arrivals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := Sweep(ci[:tc.arrivals+tc.length+tc.slack-1], tc.length, tc.slack, tc.arrivals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for a := 0; a < tc.arrivals; a++ {
+				for _, c := range []struct {
+					policy           string
+					got, slow, fresh float64
+				}{
+					{"baseline", got.Baseline[a], slow.Baseline[a], fresh.Baseline[a]},
+					{"deferred", got.Deferred[a], slow.Deferred[a], fresh.Deferred[a]},
+					{"interrupted", got.Interrupted[a], slow.Interrupted[a], fresh.Interrupted[a]},
+				} {
+					if !almost(c.got, c.slow) || c.got != c.fresh {
+						t.Fatalf("%s L=%d s=%d %s[%d]: series %v, naive %v, fresh prefix sweep %v",
+							name, tc.length, tc.slack, c.policy, a, c.got, c.slow, c.fresh)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestQuickSweepMatchesNaive(t *testing.T) {
 	f := func(seed uint64, lRaw, sRaw uint8) bool {
 		n := 200
@@ -258,8 +305,11 @@ func TestValidateMonotoneCatchesViolations(t *testing.T) {
 }
 
 func TestRankTreeKSmallest(t *testing.T) {
-	vals := []float64{5, 3, 8, 3, 1}
-	tr := newRankTree(vals)
+	// The tree covers a prefix of a longer series; the hours past it
+	// (a 0 and a 2) must not take ranks.
+	long := []float64{5, 3, 8, 3, 1, 0, 2}
+	vals := long[:5]
+	tr := newRankTree(vals, NewSeries(long).order)
 	for i := range vals {
 		tr.add(i)
 	}
@@ -276,7 +326,8 @@ func TestRankTreeKSmallest(t *testing.T) {
 }
 
 func TestRankTreePanicsWhenUnderfull(t *testing.T) {
-	tr := newRankTree([]float64{1, 2})
+	vals := []float64{1, 2}
+	tr := newRankTree(vals, NewSeries(vals).order)
 	tr.add(0)
 	defer func() {
 		if recover() == nil {
